@@ -2,10 +2,11 @@
 
 The paper measures MM at 153.7x / 286.8x / 425.5x faster *per step* than
 SA / GA / RL because those methods pay a Timeloop query per step.  Here we
-time the primitive step of each method against our substrate; these are
-real (not simulated) timings, so they quantify the substitution documented
-in DESIGN.md: our analytical oracle is far cheaper than Timeloop, which is
-why iso-time experiments reintroduce oracle latency virtually.
+time the primitive step of each method against our substrate, and MM's full
+descent step next to its parts; these are real (not simulated) timings, so
+they quantify the substitution documented in DESIGN.md: our analytical
+oracle is far cheaper than Timeloop, which is why iso-time experiments
+reintroduce oracle latency virtually.
 
 These tests use pytest-benchmark's real measurement loop (multiple rounds)
 rather than a single pedantic round — per-step costs are microseconds and
@@ -13,6 +14,7 @@ benefit from statistics.
 """
 
 from conftest import add_report
+from repro.core import GradientSearcher
 from repro.costmodel import CostModel
 from repro.harness import format_table
 from repro.mapspace import MapSpace
@@ -42,6 +44,22 @@ def test_step_surrogate_gradient(benchmark, accelerator, cnn_mm):
     whitened = cnn_mm.surrogate.whiten_mapping(space.sample(0), problem)
     benchmark(cnn_mm.surrogate.objective_and_gradient, whitened)
     _RESULTS["surrogate fwd+bwd"] = benchmark.stats.stats.mean
+
+
+def test_step_mm_full(benchmark, accelerator, cnn_mm):
+    """One whole MM descent step, as ``GradientSearcher`` runs it: whiten,
+    surrogate fwd+bwd, gradient step, then decode+project."""
+    _, space = _problem_and_space(accelerator)
+    # Injections never fire, so every timed round is a descent step.
+    searcher = GradientSearcher(space, cnn_mm.surrogate, inject_every=10**9)
+    searcher.reset(seed=0)
+
+    def step():
+        batch = searcher.ask()
+        searcher.tell(batch, searcher.objective_batch(batch))
+
+    benchmark(step)
+    _RESULTS["MM step (whiten+fwd/bwd+step+decode+project)"] = benchmark.stats.stats.mean
 
 
 def test_step_projection(benchmark, accelerator, cnn_mm):

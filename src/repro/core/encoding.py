@@ -21,13 +21,18 @@ is 40 — matching the paper's reported input widths exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapspace.factors import nearest_composition, nearest_factorization
-from repro.mapspace.mapping import ALLOC_LEVELS, Mapping, ORDER_LEVELS
+from repro.mapspace.factors import (
+    nearest_compositions,
+    nearest_option,
+    stacked_factorization_tables,
+)
+from repro.mapspace.mapping import ALLOC_LEVELS, FACTOR_SLOTS, Mapping, ORDER_LEVELS
 from repro.mapspace.space import MapSpace
 from repro.utils import log2_safe
 from repro.workloads.problem import Problem
@@ -67,6 +72,18 @@ class EncodingLayout:
     def mapping_slice(self) -> slice:
         """Everything after the pid: the part gradient search may update."""
         return slice(self.n_dims, self.length)
+
+    def section_at(self, index: int) -> Tuple[str, slice]:
+        """``(name, slice)`` of the section holding vector ``index``."""
+        for name, section in (
+            ("pid", self.pid_slice),
+            ("tiles", self.tile_slice),
+            ("orders", self.order_slice),
+            ("allocations", self.alloc_slice),
+        ):
+            if section.start <= index < section.stop:
+                return name, section
+        raise IndexError(f"index {index} outside a length-{self.length} vector")
 
 
 class MappingEncoder:
@@ -183,46 +200,85 @@ class MappingEncoder:
     def decode(self, vector: np.ndarray, space: MapSpace) -> Mapping:
         """Decode a raw vector into the nearest valid mapping of ``space``.
 
-        This is the "round + project" step of projected gradient descent
-        (paper section 4.2): tile factors round to the nearest exact
-        factorization in log space, order ranks argsort into permutations,
-        allocation fractions round to bank compositions, and the result is
-        passed through :meth:`MapSpace.project` for capacity repair.
+        One row of :meth:`decode_batch` (see there for the rounding).
         """
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.length,):
             raise ValueError(f"vector shape {vector.shape} != ({self.length},)")
+        return self.decode_batch(vector[None, :], space)[0]
+
+    def decode_batch(self, vectors: np.ndarray, space: MapSpace) -> List[Mapping]:
+        """Decode ``(R, length)`` raw vectors into valid mappings of ``space``.
+
+        This is the "round + project" step of projected gradient descent
+        (paper section 4.2), one pass for every row: tile factors round to
+        the nearest exact factorization in log space (one argmin over a
+        padded per-dimension option table for all rows and dimensions; ties
+        go to the first option in enumeration order), order ranks argsort
+        into permutations, allocation fractions round to bank compositions,
+        and each candidate is passed through :meth:`MapSpace.project` for
+        capacity repair.  Row ``i`` of the result depends on row ``i``
+        alone.
+
+        Tile logs clip to ``[0, 40]``, so ``±inf`` there (and in the order
+        ranks, which only sort) decodes like a large finite value.  A NaN
+        anywhere, or ``+inf`` in the allocation section (no finite share to
+        round), raises ``ValueError`` naming the section and index.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != self.length:
+            raise ValueError(f"vectors shape {vectors.shape} != (R, {self.length})")
+        self._check_decodable(vectors)
+        n_rows, n_dims, n_tensors = len(vectors), len(self.dims), len(self.tensors)
         bounds = space.problem.bounds
-        tile_section = vector[self.layout.tile_slice]
-        tile_factors = []
-        for index, dim in enumerate(self.dims):
-            logs = tile_section[4 * index : 4 * index + 4]
-            target = np.exp2(np.clip(logs, 0.0, 40.0))
-            tile_factors.append(nearest_factorization(bounds[dim], 4, target))
-        order_section = vector[self.layout.order_slice]
-        loop_orders = []
-        for level_index in range(len(ORDER_LEVELS)):
-            ranks = order_section[
-                level_index * len(self.dims) : (level_index + 1) * len(self.dims)
-            ]
-            permutation = tuple(self.dims[i] for i in np.argsort(ranks, kind="stable"))
-            loop_orders.append(permutation)
-        alloc_section = vector[self.layout.alloc_slice]
-        allocation = []
-        for level_index, level in enumerate(ALLOC_LEVELS):
-            fractions = alloc_section[
-                level_index * len(self.tensors) : (level_index + 1) * len(self.tensors)
-            ]
-            total = space.accelerator.banks(level)
-            allocation.append(nearest_composition(total, len(self.tensors), fractions))
-        candidate = Mapping(
-            dims=self.dims,
-            tile_factors=tuple(tile_factors),
-            loop_orders=tuple(loop_orders),
-            tensors=self.tensors,
-            allocation=tuple(allocation),
+        factor_table, log_table = stacked_factorization_tables(
+            tuple(bounds[dim] for dim in self.dims), len(FACTOR_SLOTS)
         )
-        return space.project(candidate)
+        targets = np.exp2(np.clip(vectors[:, self.layout.tile_slice], 0.0, 40.0))
+        # math.log2, as in the option table: np.log2 may differ by an ulp.
+        logs = np.array(
+            [math.log2(max(target, 1e-9)) for target in targets.ravel().tolist()]
+        ).reshape(n_rows, n_dims, len(FACTOR_SLOTS))
+        choice = nearest_option(log_table, logs)
+        tiles = factor_table[np.arange(n_dims), choice]
+        ranks = vectors[:, self.layout.order_slice].reshape(
+            n_rows, len(ORDER_LEVELS), n_dims
+        )
+        permutations = np.argsort(ranks, axis=2, kind="stable")
+        totals = [space.accelerator.banks(level) for level in ALLOC_LEVELS] * n_rows
+        banks = nearest_compositions(
+            totals, n_tensors, vectors[:, self.layout.alloc_slice].reshape(-1, n_tensors)
+        ).reshape(n_rows, len(ALLOC_LEVELS), n_tensors)
+        return [
+            space.project(
+                Mapping(
+                    dims=self.dims,
+                    tile_factors=tuple(tuple(factors) for factors in tile_row),
+                    loop_orders=tuple(
+                        tuple(self.dims[i] for i in order) for order in order_row
+                    ),
+                    tensors=self.tensors,
+                    allocation=tuple(tuple(level) for level in bank_row),
+                )
+            )
+            for tile_row, order_row, bank_row in zip(
+                tiles.tolist(), permutations.tolist(), banks.tolist()
+            )
+        ]
+
+    def _check_decodable(self, vectors: np.ndarray) -> None:
+        """Raise ``ValueError`` at the first entry decode cannot round."""
+        bad = np.isnan(vectors)
+        alloc = self.layout.alloc_slice
+        bad[:, alloc] |= np.isposinf(vectors[:, alloc])
+        if not bad.any():
+            return
+        row, column = (int(i) for i in np.argwhere(bad)[0])
+        name, section = self.layout.section_at(column)
+        raise ValueError(
+            f"cannot decode {vectors[row, column]} at {name}[{column - section.start}] "
+            f"(row {row}, vector index {column})"
+        )
 
     def pid_vector(self, problem: Problem) -> np.ndarray:
         """Just the pid section for ``problem`` (log2 dimension bounds)."""

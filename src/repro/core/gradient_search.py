@@ -12,11 +12,13 @@ Each descent iteration:
 
 1. whiten the current valid mapping(s) into surrogate coordinates,
 2. forward + backward through the surrogate for the predicted
-   log2-normalized EDP and its gradient w.r.t. the input,
+   log2-normalized EDP and its gradient w.r.t. the input (a graph-free
+   pass over the fixed weights; autograd is for training only),
 3. step ``x <- x - lr * grad`` (the problem-id section is frozen — it
    conditions the surrogate but is not searchable),
 4. decode + project back onto the valid map space (nearest factorization /
-   argsort permutation / bank rounding / capacity repair), and
+   argsort permutation / bank rounding / capacity repair), all chains in
+   one :meth:`MappingEncoder.decode_batch` call, and
 5. periodically consider replacing each point with a fresh random mapping.
 
 Crucially the *true* cost model is never queried during the search — only
@@ -25,11 +27,11 @@ from.
 
 **Vectorized multi-restart.**  ``restarts=R`` runs R independent descent
 chains at once: every ``ask`` proposes all R current points, the batched
-objective stacks them into one ``(R, D)`` tensor forward/backward
-(:meth:`Surrogate.objective_and_gradient_batch`), and ``tell`` applies all
-R projected updates.  One fused autograd pass per iteration instead of R —
-the chains share nothing except the network weights, so results are
-identical to R sequential chains with the same per-chain draws.
+objective stacks them into one ``(R, D)`` forward/backward
+(:meth:`Surrogate.objective_and_gradient_batch`), and ``tell`` decodes and
+applies all R projected updates in one batch.  One stacked input-gradient
+pass per iteration instead of R — the chains share nothing except the
+network weights, and each decoded row depends on its own row alone.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class GradientSearcher(Searcher):
         it, small gradients can fail to cross a factorization rounding
         threshold and the search idles.  Both default on; disable both for
         the paper's literal update rule (the ablation benchmark compares).
-        ``restarts`` runs that many descent chains in lockstep, fused into
-        one stacked surrogate pass per iteration."""
+        ``restarts`` runs that many descent chains in lockstep, stacked
+        into one surrogate pass and one decode per iteration."""
         super().__init__(space)
         if surrogate.encoder.dims != space.problem.dim_names:
             raise ValueError(
@@ -187,8 +189,8 @@ class GradientSearcher(Searcher):
         escalation = np.asarray(self._escalation[:n], dtype=np.float64)[:, None]
         updated = whitened - self.learning_rate * escalation * gradients
         raw = self.surrogate.input_whitener.inverse(updated)
-        for i in range(n):
-            decoded = self.surrogate.encoder.decode(raw[i], self.space)
+        decoded_rows = self.surrogate.encoder.decode_batch(raw, self.space)
+        for i, decoded in enumerate(decoded_rows):
             if self.escalate_when_stuck:
                 if decoded == mappings[i]:
                     self._escalation[i] = min(

@@ -3,9 +3,9 @@
 Wraps the MLP together with the whitening statistics, the mapping encoder,
 and the target codec so callers can move between the three coordinate
 systems (structured mappings, raw vectors, whitened vectors) without
-bookkeeping.  Critically, :meth:`input_gradient` differentiates the
-*predicted log-EDP* with respect to the whitened input vector — the
-gradients Phase 2 descends along.
+bookkeeping.  Critically, :meth:`objective_and_gradient_batch`
+differentiates the *predicted log-EDP* with respect to the whitened input
+vector — the gradients Phase 2 descends along.
 """
 
 from __future__ import annotations
@@ -191,37 +191,36 @@ class Surrogate:
     def objective_and_gradient_batch(
         self, whitened_inputs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row objectives and input gradients in one fused pass.
+        """Per-row objectives and input gradients in one stacked pass.
 
         ``whitened_inputs`` is ``(N, D)``; returns ``(values, gradients)``
         of shapes ``(N,)`` and ``(N, D)``.  Rows flow through the network
-        independently, so summing the per-row objectives before ``backward``
-        yields each row's own gradient — one stacked forward/backward
-        instead of N scalar autograd passes.  Builds the de-whitening of the
-        EDP-relevant output entries into the autograd graph, so gradients
-        are exactly ``d log2(EDP_hat) / d x`` in whitened input coordinates.
+        independently, so one stacked forward/backward yields every row's
+        own gradient.  The objective de-whitens the EDP-relevant outputs
+        (``out[e] * std[e] + mean[e]`` plus the same for cycles, or the
+        single ``edp`` column), so its gradient seeds the backward pass
+        with ``std`` at those columns and zero elsewhere — exactly
+        ``d log2(EDP_hat) / d x`` in whitened input coordinates.
+
+        Graph-free: :meth:`MLP.input_gradient` reads the weights and never
+        builds a ``Tensor`` graph, so live searches neither compute weight
+        gradients nor write the serving network's ``.grad`` buffers.  The
+        result is bitwise what the autograd graph would give.
         """
         inputs = np.atleast_2d(np.asarray(whitened_inputs, dtype=np.float64))
-        x = Tensor(inputs, requires_grad=True)
-        output = self.network(x)
+        std = self.target_whitener.std
+        mean = self.target_whitener.mean
         if self.codec.mode == "edp":
-            scaled = output.select(0) * self.target_whitener.std[0]
-            objective = scaled + self.target_whitener.mean[0]
+            columns: Tuple[int, ...] = (0,)
         else:
-            e_index = self.codec.total_energy_index
-            c_index = self.codec.cycles_index
-            energy = (
-                output.select(e_index) * self.target_whitener.std[e_index]
-                + self.target_whitener.mean[e_index]
-            )
-            cycles = (
-                output.select(c_index) * self.target_whitener.std[c_index]
-                + self.target_whitener.mean[c_index]
-            )
-            objective = energy + cycles
-        objective.sum().backward()
-        assert x.grad is not None
-        return objective.data.copy(), x.grad.copy()
+            columns = (self.codec.total_energy_index, self.codec.cycles_index)
+        seed = np.zeros((inputs.shape[0], self.codec.width))
+        for column in columns:
+            seed[:, column] = std[column]
+        output, gradients = self.network.input_gradient(inputs, seed)
+        terms = [output[:, column] * std[column] + mean[column] for column in columns]
+        objective = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        return objective, gradients
 
     def mapping_gradient(
         self, mapping: Mapping, problem: Problem

@@ -8,8 +8,9 @@ search in log space (paper section 4.2, "Projected Gradient Descent").
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +29,67 @@ def sample_factorization(n: int, parts: int, rng: SeedLike = None) -> Tuple[int,
     return options[int(generator.integers(0, len(options)))]
 
 
+@functools.lru_cache(maxsize=256)
+def factorization_table(
+    n: int, parts: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray]:
+    """``(options, logs)``: the factorizations of ``n`` and their log2 table.
+
+    ``logs`` is a read-only ``(len(options), parts)`` float64 array built
+    with :func:`math.log2` (not ``np.log2``, whose SIMD kernels may differ
+    by an ulp), so table distances match a scalar ``math.log2`` loop bit
+    for bit.
+    """
+    options = factorizations(n, parts)
+    logs = np.array(
+        [[math.log2(value) for value in option] for option in options],
+        dtype=np.float64,
+    )
+    logs.flags.writeable = False
+    return options, logs
+
+
+@functools.lru_cache(maxsize=16)
+def stacked_factorization_tables(
+    bounds: Tuple[int, ...], parts: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(factors, logs)`` for every bound, padded to one rectangle.
+
+    ``factors`` is ``(D, max_options, parts)`` int64 and ``logs`` the
+    matching float64 log2 table; padding rows hold factor 1 and log
+    ``+inf``, so their distance is infinite and they never win an argmin.
+    Both arrays are read-only.
+    """
+    tables = [factorization_table(bound, parts) for bound in bounds]
+    width = max(len(options) for options, _ in tables)
+    factors = np.ones((len(bounds), width, parts), dtype=np.int64)
+    logs = np.full((len(bounds), width, parts), np.inf)
+    for index, (options, table) in enumerate(tables):
+        factors[index, : len(options)] = options
+        logs[index, : len(options)] = table
+    factors.flags.writeable = False
+    logs.flags.writeable = False
+    return factors, logs
+
+
+def nearest_option(table: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Index of the row of ``table`` nearest ``logs`` (squared L2 in log2).
+
+    ``table`` is ``(..., options, parts)`` and ``logs`` is ``(..., parts)``
+    (broadcast against the table's leading axes); returns the ``(...)``
+    option indices.  Per-part squared deltas are summed left to right and
+    ``np.argmin`` keeps the *first* strict minimum, so ties resolve to the
+    earliest option in enumeration order, as a scalar early-exit scan
+    would.
+    """
+    distance = None
+    for part in range(table.shape[-1]):
+        delta = table[..., part] - logs[..., part, None]
+        square = delta * delta
+        distance = square if distance is None else distance + square
+    return np.argmin(distance, axis=-1)
+
+
 def nearest_factorization(
     n: int, parts: int, target: Sequence[float]
 ) -> Tuple[int, ...]:
@@ -36,24 +98,18 @@ def nearest_factorization(
     ``target`` holds desired (possibly fractional, possibly non-dividing)
     factors, e.g. produced by a gradient step.  Distance is the L2 norm of
     per-part ``log2`` ratios, so halving and doubling a factor are equally
-    wrong — matching the log2 encoding the surrogate sees.
+    wrong — matching the log2 encoding the surrogate sees.  Ties go to the
+    first factorization in :func:`~repro.utils.factorizations` order.
+    Raises ``ValueError`` for a NaN or ``+inf`` target entry (there is no
+    nearest factorization to it); entries below ``1e-9`` clamp to it.
     """
     if len(target) != parts:
         raise ValueError(f"target has {len(target)} parts, expected {parts}")
-    logs = [math.log2(max(float(t), 1e-9)) for t in target]
-    best: Tuple[int, ...] = ()
-    best_distance = math.inf
-    for option in factorizations(n, parts):
-        distance = 0.0
-        for value, want in zip(option, logs):
-            delta = math.log2(value) - want
-            distance += delta * delta
-            if distance >= best_distance:
-                break
-        if distance < best_distance:
-            best_distance = distance
-            best = option
-    return best
+    logs = np.array([math.log2(max(float(t), 1e-9)) for t in target])
+    if not np.isfinite(logs).all():
+        raise ValueError(f"target {list(target)} has a non-finite entry")
+    options, table = factorization_table(n, parts)
+    return options[int(nearest_option(table, logs))]
 
 
 def compositions(total: int, parts: int, min_each: int = 1) -> Tuple[Tuple[int, ...], ...]:
@@ -125,45 +181,67 @@ def nearest_composition(
 ) -> Tuple[int, ...]:
     """Round real-valued ``target`` to a composition of ``total``.
 
-    Greedy largest-remainder rounding: floor each entry at ``min_each``,
-    then distribute the remaining units to the entries with the largest
-    fractional shortfall.  Used to project gradient-updated bank-allocation
-    fractions back onto valid integer allocations.
+    One row of :func:`nearest_compositions`.  Used to project
+    gradient-updated bank-allocation fractions back onto valid integer
+    allocations.
     """
     if len(target) != parts:
         raise ValueError(f"target has {len(target)} parts, expected {parts}")
+    return tuple(nearest_compositions(total, parts, [target], min_each)[0].tolist())
+
+
+def nearest_compositions(
+    totals: Union[int, Sequence[int]],
+    parts: int,
+    targets: np.ndarray,
+    min_each: int = 1,
+) -> np.ndarray:
+    """Round each row of ``targets`` to a composition of its total.
+
+    Greedy largest-remainder rounding, vectorized over the ``(M, parts)``
+    rows: floor each entry at ``min_each``, then distribute the remaining
+    units to the entries with the largest fractional shortfall.
+    ``totals`` is one total for every row or one per row.  Returns an
+    ``(M, parts)`` int64 array; row ``i`` depends on row ``i`` alone.
+    Raises ``ValueError`` for NaN or ``+inf`` entries.
+    """
+    desired = np.maximum(np.asarray(targets, dtype=float), 0.0)
+    if desired.ndim != 2 or desired.shape[1] != parts:
+        raise ValueError(f"targets have shape {desired.shape}, expected (M, {parts})")
+    total = np.asarray(totals).reshape(-1, 1)
     spare_total = total - parts * min_each
-    if spare_total < 0:
+    if (spare_total < 0).any():
         raise ValueError(
-            f"cannot split {total} into {parts} parts of at least {min_each}"
+            f"cannot split {totals} into {parts} parts of at least {min_each}"
         )
-    desired = np.maximum(np.asarray(target, dtype=float), 0.0)
-    if desired.sum() <= 0:
-        desired = np.ones(parts)
-    desired = desired / desired.sum() * total
+    row_sum = desired.sum(axis=1, keepdims=True)
+    if not np.isfinite(row_sum).all():
+        raise ValueError("targets must not contain NaN or +inf")
+    # Entries are >= 0, so a non-positive sum means an all-zero row: it
+    # splits evenly (ones, summing to `parts`); other rows are unchanged.
+    empty = row_sum <= 0
+    desired = (desired + empty) / (row_sum + parts * empty) * total
     spare = np.maximum(desired - min_each, 0.0)
-    if spare.sum() <= 0:
-        base = [min_each] * parts
-        remainder = spare_total
-        floors = np.zeros(parts)
-    else:
-        spare = spare / spare.sum() * spare_total
-        floors = np.floor(spare)
-        base = [min_each + int(f) for f in floors]
-        remainder = spare_total - int(floors.sum())
-    fractional = spare - floors
-    order = np.argsort(-fractional)
-    result = list(base)
-    for index in order[:remainder]:
-        result[int(index)] += 1
-    return tuple(result)
+    spare_sum = spare.sum(axis=1, keepdims=True)
+    # Same trick: an all-zero spare row divides by 1 and stays all zero.
+    spare = spare / (spare_sum + (spare_sum <= 0)) * spare_total
+    floors = np.floor(spare)
+    remainder = spare_total - floors.sum(axis=1, keepdims=True)
+    # Each row's `remainder` largest fractional parts get one more unit.
+    order = np.argsort(-(spare - floors), axis=1)
+    rank = np.argsort(order, axis=1)
+    return (floors + min_each + (rank < remainder)).astype(np.int64)
 
 
 __all__ = [
     "compositions",
+    "factorization_table",
     "nearest_composition",
+    "nearest_compositions",
     "nearest_factorization",
+    "nearest_option",
     "sample_composition",
     "sample_factorization",
     "smallest_prime_factor",
+    "stacked_factorization_tables",
 ]

@@ -23,6 +23,7 @@ from repro.costmodel.accelerator import Accelerator
 from repro.mapspace.factors import (
     compositions,
     nearest_composition,
+    nearest_compositions,
     nearest_factorization,
     sample_composition,
     sample_factorization,
@@ -168,18 +169,17 @@ class MapSpace:
     ) -> Tuple[Tuple[int, ...], ...]:
         """Bank split per level: uniform, or footprint-proportional."""
         n_tensors = len(self._tensors)
-        allocation = []
-        for level in ALLOC_LEVELS:
-            total = self.accelerator.banks(level)
-            if not proportional:
-                allocation.append(sample_composition(total, n_tensors, rng))
-                continue
-            extents = self._extents_for(level, tile_factors)
-            footprints = np.array(
-                [max(t.footprint(extents), 1) for t in self._tensors], dtype=float
+        totals = [self.accelerator.banks(level) for level in ALLOC_LEVELS]
+        if not proportional:
+            return tuple(
+                sample_composition(total, n_tensors, rng) for total in totals
             )
-            allocation.append(nearest_composition(total, n_tensors, footprints))
-        return tuple(allocation)
+        footprints = []
+        for level in ALLOC_LEVELS:
+            extents = self._extents_for(level, tile_factors)
+            footprints.append([max(t.footprint(extents), 1) for t in self._tensors])
+        banks = nearest_compositions(totals, n_tensors, footprints)
+        return tuple(tuple(row) for row in banks.tolist())
 
     def _extents_for(
         self, level: str, tile_factors: Sequence[Sequence[int]]

@@ -7,8 +7,9 @@ Mind Mappings needs exactly two capabilities from its deep-learning stack:
 2. **Phase 2** — differentiate the trained MLP *with respect to its input*
    (mapping gradients for projected gradient descent).
 
-This package provides both through a small reverse-mode autograd engine over
-numpy arrays (:class:`Tensor`), layers (:class:`Linear`, activations,
+This package provides both: a small reverse-mode autograd engine over
+numpy arrays (:class:`Tensor`) for training, a graph-free
+:meth:`MLP.input_gradient` for Phase 2, layers (:class:`Linear`, activations,
 :class:`Sequential`), the paper's three candidate losses (Huber, MSE, MAE —
 Figure 7b), SGD with momentum and Adam optimizers, step-decay learning-rate
 schedules, and He/Xavier initialization.

@@ -7,7 +7,7 @@ parameter-collection contract so optimizers and serialization stay generic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,6 +170,49 @@ class MLP(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return self.network(inputs)
+
+    def input_gradient(
+        self, inputs: np.ndarray, output_grad: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward output and input gradient on plain arrays, no graph.
+
+        Returns ``(outputs, grad)`` where ``grad`` is the vector-Jacobian
+        product ``output_grad^T d outputs / d inputs``, row by row: the
+        gradient of ``sum(outputs * output_grad)`` w.r.t. ``inputs``.  The
+        weights are read through ``.data`` only, so no ``.grad`` buffer is
+        touched and no weight gradient is computed; autograd stays the
+        training path.  Every step evaluates the same numpy expression, in
+        the same order, as :mod:`repro.nn.tensor` (``z = h @ W``,
+        ``z = z + b``, ``h = z * (z > 0)``; backward ``g = g @ W.T``,
+        ``g = g * mask``), so the result is bitwise what ``backward()``
+        would leave in the input's ``.grad``.
+        """
+        hidden = np.asarray(inputs, dtype=np.float64)
+        # Per child, what its backward step needs: a weight matrix (Linear)
+        # or a local derivative to multiply by (activations).
+        saved: List[Tuple[bool, np.ndarray]] = []
+        for module in self.network:
+            if isinstance(module, Linear):
+                hidden = hidden @ module.weight.data
+                hidden = hidden + module.bias.data
+                saved.append((True, module.weight.data))
+            elif isinstance(module, ReLU):
+                mask = hidden > 0
+                hidden = hidden * mask
+                saved.append((False, mask))
+            elif isinstance(module, Tanh):
+                hidden = np.tanh(hidden)
+                saved.append((False, 1.0 - hidden**2))
+            else:
+                raise TypeError(f"no input gradient for {type(module).__name__}")
+        gradient = np.asarray(output_grad, dtype=np.float64)
+        if gradient.shape != hidden.shape:
+            raise ValueError(
+                f"output_grad shape {gradient.shape} != output shape {hidden.shape}"
+            )
+        for is_linear, value in reversed(saved):
+            gradient = gradient @ value.T if is_linear else gradient * value
+        return hidden, gradient
 
 
 __all__ = ["Linear", "MLP", "Module", "ReLU", "Sequential", "Tanh"]

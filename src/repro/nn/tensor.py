@@ -3,8 +3,9 @@
 A deliberately small engine: dense float64 arrays, dynamic graphs, and the
 operation set an MLP regressor needs (affine maps, elementwise arithmetic,
 ReLU/Tanh, reductions, Huber/absolute-value pieces).  Gradients flow to any
-leaf with ``requires_grad=True`` — including *network inputs*, which is what
-lets Phase 2 compute mapping gradients through a trained surrogate.
+leaf with ``requires_grad=True``, including network inputs.  Phase 2's
+mapping gradients use the graph-free :meth:`repro.nn.layers.MLP.input_gradient`,
+which evaluates the same expressions and matches this engine bit for bit.
 
 Broadcasting follows numpy semantics; backward passes un-broadcast by
 summing over the broadcast axes, so bias vectors and scalar constants

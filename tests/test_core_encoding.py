@@ -168,3 +168,102 @@ class TestEncodeBatch:
         mapping = cnn_space.sample_many(1, seed=0)
         with pytest.raises(ValueError):
             mttkrp_encoder.encode_batch(mapping, mttkrp_problem)
+
+
+class TestDecodeBatch:
+    """``decode_batch`` is the only decode path; ``decode`` is its one-row
+    case, and each row depends on its own row alone."""
+
+    @pytest.mark.parametrize("name", ["ResNet_Conv4", "BERT_FFN1", "MTTKRP_0"])
+    def test_every_row_equals_scalar_decode(self, accelerator, name):
+        problem = problem_by_name(name)
+        space = MapSpace(problem, accelerator)
+        encoder = MappingEncoder.for_problem(problem)
+        rng = np.random.default_rng(0)
+        base = encoder.encode_batch(space.sample_many(12, seed=3), problem)
+        vectors = base + rng.normal(0.0, 1.5, size=base.shape)
+        decoded = encoder.decode_batch(vectors, space)
+        assert len(decoded) == len(vectors)
+        for row, mapping in zip(vectors, decoded):
+            assert encoder.decode(row, space) == mapping
+            assert space.is_member(mapping)
+
+    def test_row_order_does_not_matter(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        vectors = np.random.default_rng(1).normal(0, 3, size=(6, encoder.length))
+        forward = encoder.decode_batch(vectors, cnn_space)
+        backward = encoder.decode_batch(vectors[::-1], cnn_space)
+        assert forward == backward[::-1]
+
+    def test_empty_batch(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        assert encoder.decode_batch(np.empty((0, encoder.length)), cnn_space) == []
+
+    def test_shape_checked(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        with pytest.raises(ValueError, match="vectors shape"):
+            encoder.decode_batch(np.zeros(encoder.length), cnn_space)
+
+
+class TestDecodeNonFinite:
+    """NaN never decodes: it raises, naming the section and index."""
+
+    @pytest.mark.parametrize("section", ["pid", "tiles", "orders", "allocations"])
+    def test_nan_rejected_in_every_section(self, cnn_space, cnn_problem, section):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        layout = encoder.layout
+        slices = {
+            "pid": layout.pid_slice,
+            "tiles": layout.tile_slice,
+            "orders": layout.order_slice,
+            "allocations": layout.alloc_slice,
+        }
+        vectors = encoder.encode_batch(cnn_space.sample_many(3, seed=0), cnn_problem)
+        index = slices[section].start + 1
+        vectors[2, index] = np.nan
+        with pytest.raises(ValueError, match=rf"{section}\[1\] \(row 2, vector index {index}\)"):
+            encoder.decode_batch(vectors, cnn_space)
+        with pytest.raises(ValueError, match=rf"{section}\[1\]"):
+            encoder.decode(vectors[2], cnn_space)
+
+    def test_positive_infinity_rejected_in_allocations(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        vector = encoder.encode(cnn_space.sample(0), cnn_problem)
+        vector[encoder.layout.alloc_slice.start] = np.inf
+        with pytest.raises(ValueError, match=r"allocations\[0\]"):
+            encoder.decode(vector, cnn_space)
+
+    @pytest.mark.parametrize(
+        "section,value,stand_in",
+        [
+            ("tiles", np.inf, 40.0),
+            ("tiles", -np.inf, 0.0),
+            ("orders", np.inf, 1e300),
+            ("orders", -np.inf, -1e300),
+            ("allocations", -np.inf, 0.0),
+        ],
+    )
+    def test_infinity_decodes_like_its_clipped_value(
+        self, cnn_space, cnn_problem, section, value, stand_in
+    ):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        start = {
+            "tiles": encoder.layout.tile_slice.start,
+            "orders": encoder.layout.order_slice.start,
+            "allocations": encoder.layout.alloc_slice.start,
+        }[section]
+        vector = encoder.encode(cnn_space.sample(5), cnn_problem)
+        infinite, finite = vector.copy(), vector.copy()
+        infinite[start + 2] = value
+        finite[start + 2] = stand_in
+        assert encoder.decode(infinite, cnn_space) == encoder.decode(finite, cnn_space)
+
+
+class TestLayoutSections:
+    def test_section_at_covers_every_index(self, cnn_problem):
+        layout = MappingEncoder.for_problem(cnn_problem).layout
+        names = [layout.section_at(i)[0] for i in range(layout.length)]
+        assert names.count("pid") == layout.n_dims
+        assert names.count("allocations") == 2 * layout.n_tensors
+        with pytest.raises(IndexError):
+            layout.section_at(layout.length)

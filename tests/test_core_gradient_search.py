@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import GradientSearcher
 from repro.mapspace import MapSpace
+from repro.nn import SGD, Tensor, mse_loss
 
 
 class TestGradientSearcher:
@@ -81,3 +82,29 @@ class TestGradientSearcher:
         result = searcher.search(100_000, seed=0, time_budget_s=0.2)
         assert result.wall_time < 2.0
         assert result.n_evaluations < 100_000
+
+
+class TestLiveNetworkUntouched:
+    """Phase 2 reads the served network and never writes its ``.grad``
+    buffers (no weight gradients, no shared accumulation lock)."""
+
+    def test_search_leaves_parameter_grads_none(self, trained_mm, cnn_space):
+        surrogate = trained_mm.surrogate.clone()
+        GradientSearcher(cnn_space, surrogate, restarts=3).run(45, seed=0)
+        assert all(p.grad is None for p in surrogate.network.parameters())
+
+    def test_served_network_trains_like_a_clean_clone(self, trained_mm, cnn_space):
+        served = trained_mm.surrogate.clone()
+        clean = trained_mm.surrogate.clone()
+        GradientSearcher(cnn_space, served).run(30, seed=1)
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(16, served.encoder.length))
+        targets = rng.normal(size=(16, served.codec.width))
+        for surrogate in (served, clean):
+            optimizer = SGD(surrogate.network.parameters(), lr=0.01)
+            for _ in range(3):
+                mse_loss(surrogate.network(Tensor(inputs)), targets).backward()
+                optimizer.step()
+                optimizer.zero_grad()
+        for a, b in zip(served.network.parameters(), clean.network.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)

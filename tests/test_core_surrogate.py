@@ -7,6 +7,7 @@ from repro.core import Surrogate
 from repro.core.dataset import TargetCodec
 from repro.core.encoding import MappingEncoder
 from repro.core.normalize import Whitener
+from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +164,64 @@ class TestBatchedPaths:
                 stacked[row],
                 trained_mm.surrogate.whiten_mapping(mapping, cnn_problem),
             )
+
+
+def _autograd_objective_and_gradient(surrogate, inputs):
+    """The autograd reference: the de-whitened objective built into a
+    ``Tensor`` graph and differentiated by ``backward()``."""
+    x = Tensor(np.atleast_2d(inputs), requires_grad=True)
+    output = surrogate.network(x)
+    std, mean = surrogate.target_whitener.std, surrogate.target_whitener.mean
+    if surrogate.codec.mode == "edp":
+        objective = output.select(0) * std[0] + mean[0]
+    else:
+        e = surrogate.codec.total_energy_index
+        c = surrogate.codec.cycles_index
+        objective = (output.select(e) * std[e] + mean[e]) + (
+            output.select(c) * std[c] + mean[c]
+        )
+    objective.sum().backward()
+    return objective.data, x.grad
+
+
+class TestGraphFreeGradient:
+    """Phase 2's input gradient equals autograd bitwise and leaves the
+    network's parameter ``.grad`` buffers alone."""
+
+    @staticmethod
+    def _surrogate(mode):
+        encoder = MappingEncoder(("X", "R"), ("Input", "Filter", "Output"))
+        codec = TargetCodec(n_tensors=3, mode=mode)
+        rng = np.random.default_rng(5)
+        return Surrogate.build(
+            encoder,
+            codec,
+            Whitener(mean=np.zeros(encoder.length), std=np.ones(encoder.length)),
+            Whitener(
+                mean=rng.normal(size=codec.width),
+                std=rng.uniform(0.5, 2.0, codec.width),
+            ),
+            "conv1d",
+            hidden_layers=(16, 16),
+            rng=0,
+        )
+
+    @pytest.mark.parametrize("mode", ["meta", "edp"])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_bitwise_equal_to_autograd(self, mode, rows):
+        surrogate = self._surrogate(mode)
+        inputs = np.random.default_rng(rows).normal(
+            size=(rows, surrogate.encoder.length)
+        )
+        values, gradients = surrogate.objective_and_gradient_batch(inputs)
+        want_values, want_gradients = _autograd_objective_and_gradient(
+            surrogate, inputs
+        )
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(gradients, want_gradients)
+
+    @pytest.mark.parametrize("mode", ["meta", "edp"])
+    def test_no_parameter_grad_written(self, mode):
+        surrogate = self._surrogate(mode)
+        surrogate.objective_and_gradient_batch(np.ones((3, surrogate.encoder.length)))
+        assert all(p.grad is None for p in surrogate.network.parameters())

@@ -119,3 +119,49 @@ class TestStateDict:
         assert any(p.grad is not None for p in mlp.parameters())
         mlp.zero_grad()
         assert all(p.grad is None for p in mlp.parameters())
+
+
+class TestInputGradient:
+    """``MLP.input_gradient`` is bitwise the autograd input gradient."""
+
+    @staticmethod
+    def _mlp(activation):
+        mlp = MLP([6, 16, 12, 3], activation=activation, rng=0)
+        rng = np.random.default_rng(1)
+        for layer in mlp.network:
+            if isinstance(layer, Linear):
+                layer.bias.data[...] = rng.normal(size=layer.bias.data.shape)
+        return mlp
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_bitwise_equal_to_autograd(self, activation, rows):
+        mlp = self._mlp(activation)
+        rng = np.random.default_rng(rows)
+        inputs = rng.normal(size=(rows, 6))
+        seed = rng.normal(size=(rows, 3))
+        x = Tensor(inputs, requires_grad=True)
+        out = mlp(x)
+        out.backward(seed)
+        outputs, gradient = mlp.input_gradient(inputs, seed)
+        np.testing.assert_array_equal(outputs, out.data)
+        np.testing.assert_array_equal(gradient, x.grad)
+
+    def test_touches_no_parameter_grad(self):
+        mlp = self._mlp("relu")
+        mlp.input_gradient(np.ones((2, 6)), np.ones((2, 3)))
+        assert all(p.grad is None for p in mlp.parameters())
+
+    def test_output_grad_shape_checked(self):
+        with pytest.raises(ValueError, match="output_grad shape"):
+            self._mlp("relu").input_gradient(np.ones((2, 6)), np.ones((2, 4)))
+
+    def test_unsupported_module_raises(self):
+        class Square(Module):
+            def forward(self, inputs):
+                return inputs * inputs
+
+        mlp = self._mlp("relu")
+        mlp.network.children[1] = Square()
+        with pytest.raises(TypeError, match="Square"):
+            mlp.input_gradient(np.ones((1, 6)), np.ones((1, 3)))
