@@ -62,9 +62,11 @@ into a single kernel call without perturbing any response.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -534,19 +536,15 @@ class _ProblemTables:
     of integer extents are exact in any order, which keeps the dot-product
     form bitwise identical to the scalar member-by-member sum.
 
-    ``order_cache[padded_width]`` memoizes ``loop_orders`` keys to small
-    integer *codes* into ``order_rows[padded_width]``, a growing list of
-    flat dim-index rows already padded to the union's nest width;
-    ``order_matrices`` caches each width's rows as one stacked matrix so a
-    steady-state compile lowers orders with a single fancy-index gather
-    instead of re-converting Python ints.  ``order_memo[padded_width]``
-    fronts the equality cache with an identity map — re-evaluating a
-    mapping (replay, prewarm hits priced again) re-presents the *same*
-    ``loop_orders`` tuple object, whose code is then found by one int-key
-    lookup instead of re-hashing a nested tuple of strings.  Entries pin
-    the keyed tuple, so a memoized id can never be recycled to a different
-    object.  Servers see the same orders over and over, and bounded caches
-    keep a long-lived process from growing them without limit.
+    ``order_rows[padded_width]`` (a :class:`_RowMemo`) codes each
+    *level's* loop order as flat dim indices padded to the union's
+    per-level width (padding positions name the problem's first padding
+    dim, whose factors are all 1); a lane's nest is its three level rows
+    side by side, one fancy-index gather per problem.  The key is a level
+    order, not a mapping's order triple: a problem has at most ``D!``
+    level orders, while a triple is nearly always new on random traffic.
+    Servers see the same orders over and over, and the bound keeps a
+    long-lived process from growing the memo without limit.
     """
 
     dim_index: Dict[str, int]
@@ -556,10 +554,7 @@ class _ProblemTables:
     sel: np.ndarray  # (T, A, D + 1) int64 axis-span selection tensor
     ops_per_point: float
     total_ops: float
-    order_cache: Dict[int, Dict[Hashable, int]]
-    order_rows: Dict[int, List[List[int]]]
-    order_matrices: Dict[int, Tuple[int, np.ndarray]]
-    order_memo: Dict[int, Dict[int, Tuple[Hashable, int]]]
+    order_rows: Dict[int, "_RowMemo"]
 
     @property
     def n_dims(self) -> int:
@@ -569,18 +564,99 @@ class _ProblemTables:
     def n_tensors(self) -> int:
         return self.is_output.shape[0]
 
-    def order_matrix(self, width: int) -> np.ndarray:
-        """The stacked ``(n_rows, width)`` order-row matrix for ``width``.
+    def orders(self, width: int) -> "_RowMemo":
+        """The level-order memo for a union of per-level width ``width``."""
+        memo = self.order_rows.get(width)
+        if memo is None:
+            dim_index = self.dim_index
+            pad = [len(dim_index)]
 
-        Rebuilt only when new rows were memoized since the last call; the
-        steady state (serving the same orders repeatedly) is a dict hit.
-        """
-        rows = self.order_rows[width]
-        cached = self.order_matrices.get(width)
-        if cached is None or cached[0] != len(rows):
-            cached = (len(rows), np.asarray(rows, dtype=np.int64))
-            self.order_matrices[width] = cached
-        return cached[1]
+            def lower(order: Tuple[str, ...]) -> List[int]:
+                return [dim_index[dim] for dim in order] + pad * (width - len(order))
+
+            memo = self.order_rows.setdefault(
+                width, _RowMemo(width, lower, _ORDER_MEMO_LIMIT)
+            )
+        return memo
+
+    def order_matrix(self, width: int) -> np.ndarray:
+        """The ``(n_orders, width)`` coded level rows (a view, no copy)."""
+        return self.orders(width).matrix()
+
+
+class _RowMemo:
+    """Hashable rows -> codes into an ``int64`` matrix of lowered rows.
+
+    ``codes`` maps a row (normally a canonical ``Mapping`` inner tuple) to
+    its index in a ``(capacity, width)`` matrix holding ``lower(row)``.
+    The matrix grows in place: a new row writes one line, and existing
+    lines are copied only when the capacity doubles, so :meth:`matrix` is
+    a view, never a re-stack.  Lookups are lock-free dict reads; :meth:`add`
+    serializes writers and publishes a code only after its line is written.
+    Holds at most ``limit`` rows; past it, :meth:`add` returns ``None``
+    and :meth:`gather` lowers the row with :attr:`lower` unstored.
+    """
+
+    __slots__ = ("codes", "count", "width", "lower", "limit", "_rows", "_lock")
+
+    def __init__(
+        self, width: int, lower: Callable[[tuple], List[int]], limit: int
+    ) -> None:
+        self.codes: Dict[tuple, int] = {}
+        self.count = 0
+        self.width = width
+        self.lower = lower
+        self.limit = limit
+        self._rows = np.empty((64, width), dtype=np.int64)
+        self._lock = threading.Lock()
+
+    def matrix(self) -> np.ndarray:
+        # count before rows: any rows buffer read afterwards holds them all.
+        count = self.count
+        return self._rows[:count]
+
+    def add(self, row: tuple) -> Optional[int]:
+        """The code of ``row``, memoizing it; ``None`` when full."""
+        with self._lock:
+            code = self.codes.get(row)
+            if code is not None:
+                return code
+            code = self.count
+            if code >= self.limit:
+                return None
+            if code == len(self._rows):
+                grown = np.empty((2 * code, self.width), dtype=np.int64)
+                grown[:code] = self._rows
+                self._rows = grown
+            self._rows[code] = self.lower(row)
+            self.count = code + 1
+            self.codes[row] = code
+            return code
+
+    def gather(self, rows: Iterable[tuple]) -> np.ndarray:
+        """``(n_rows, width)`` lowered rows, memoizing new ones."""
+        rows = list(rows)
+        codes = list(map(self.codes.get, rows))
+        try:
+            index = np.fromiter(codes, dtype=np.int64, count=len(codes))
+        except TypeError:  # a ``None``: some rows are not memoized yet
+            return self._gather_new(rows, codes)
+        return self.matrix()[index]
+
+    def _gather_new(self, rows: List[tuple], codes: List[Optional[int]]) -> np.ndarray:
+        spilled: List[List[int]] = []
+        for i, row in enumerate(rows):
+            if codes[i] is None:
+                code = self.add(row)
+                if code is None:  # memo full: lower without storing
+                    code = -1 - len(spilled)
+                    spilled.append(self.lower(row))
+                codes[i] = code
+        table = self.matrix()
+        if spilled:
+            codes = [len(table) - 1 - c if c < 0 else c for c in codes]
+            table = np.concatenate([table, np.asarray(spilled, dtype=np.int64)])
+        return table[np.fromiter(codes, dtype=np.int64, count=len(codes))]
 
 
 #: Memoized per-problem tables.  Keyed by the same identity the oracle
@@ -588,9 +664,15 @@ class _ProblemTables:
 #: race just produces an equal value (``setdefault`` keeps one winner).
 _PROBLEM_TABLES: Dict[Hashable, _ProblemTables] = {}
 
-#: Bound on each problem's loop-order memo; beyond this, rows are computed
-#: without being stored (searchers can emit unboundedly many orders).
-_ORDER_CACHE_LIMIT = 4096
+#: Bound on each problem's level-order memo (per padded width); beyond it,
+#: orders are lowered without being stored.  7! = 5040 level orders exist
+#: for a 7-dim problem, so the largest Table 1 problems can fill it.
+_ORDER_MEMO_LIMIT = 4096
+
+#: Every problem's tile-factor rows, coded process-wide: a row lowers to
+#: itself, so one memo (and one gather per compile) serves all problems.
+#: A problem has a few hundred to a few thousand factorization rows.
+_FACTOR_ROWS = _RowMemo(4, list, 1 << 15)
 
 
 def _problem_tables(problem: Problem, key: Hashable = None) -> _ProblemTables:
@@ -626,10 +708,7 @@ def _problem_tables(problem: Problem, key: Hashable = None) -> _ProblemTables:
         sel=sel,
         ops_per_point=float(problem.ops_per_point),
         total_ops=float(problem.total_ops),
-        order_cache={},
         order_rows={},
-        order_matrices={},
-        order_memo={},
     )
     return _PROBLEM_TABLES.setdefault(key, tables)
 
@@ -832,13 +911,11 @@ def compile_megabatch(
     block = _slot_block(tuple(keys), tables)
     max_dims = block.n_dims
 
-    # Group-major rows: lower each problem's lanes contiguously.  Tile rows
-    # land in a ones-filled (N, Dmax, 4) array (padding dims keep factor 1
-    # at every level) via each mapping's cached ``factor_array``; memoized
-    # order rows are stored already padded (padding positions name the
-    # problem's first padding dim, whose factors are all 1, so the
-    # nest-bound gather below reads bound 1 for them without a second
-    # pass).
+    # Group-major rows: lower each problem's lanes contiguously.  Tile
+    # factors are one gather from the process-wide factor-row memo for all
+    # lanes, scattered into a ones-filled (N, Dmax, 4) array (padding dims
+    # keep factor 1 at every level); level orders are one gather per
+    # problem from its order memo, already padded.
     lane_index = np.asarray(
         [i for group in lane_groups for i in group], dtype=np.int64
     )
@@ -847,68 +924,31 @@ def compile_megabatch(
         [len(group) for group in lane_groups],
     )
     width = 3 * max_dims
+    lanes = [mappings[i] for i in lane_index.tolist()]
+    factor_rows = _FACTOR_ROWS.gather(
+        chain.from_iterable([mapping.tile_factors for mapping in lanes])
+    )
     tile_factors = np.ones((n, max_dims, 4), dtype=np.int64)
-    overflow_rows: List[List[int]] = []
     nest_dims = np.empty((n, width), dtype=np.int64)
-    row_start = 0
-    for g, (problem, tab) in enumerate(zip(distinct, tables)):
+    row_start = factor_start = 0
+    for problem, tab, group in zip(distinct, tables, lane_groups):
         dims = problem.dim_names
-        d = tab.n_dims
-        pad_order = [d] * (max_dims - d)
-        dim_index = tab.dim_index
-        cache = tab.order_cache.setdefault(max_dims, {})
-        memo = tab.order_memo.setdefault(max_dims, {})
-        rows = tab.order_rows.setdefault(max_dims, [])
-        tile_rows: List[np.ndarray] = []
-        codes: List[int] = []
-        for i in lane_groups[g]:
-            mapping = mappings[i]
+        row_end = row_start + len(group)
+        group_lanes = lanes[row_start:row_end]
+        for mapping in group_lanes:
             if mapping.dims != dims:
                 raise ValueError(
                     f"mapping dims {mapping.dims} do not match problem dims {dims}"
                 )
-            tile_rows.append(mapping.factor_array)
-            orders = mapping.loop_orders
-            entry = memo.get(id(orders))
-            if entry is not None and entry[0] is orders:
-                codes.append(entry[1])
-                continue
-            code = cache.get(orders)
-            if code is None:
-                row: List[int] = []
-                for order in orders:
-                    row.extend(dim_index[dim] for dim in order)
-                    row.extend(pad_order)
-                if len(cache) < _ORDER_CACHE_LIMIT:
-                    code = len(rows)
-                    rows.append(row)
-                    cache[orders] = code
-                else:  # memo full: lower this lane without storing the row
-                    code = -1 - len(overflow_rows)
-                    overflow_rows.append(row)
-            if code >= 0 and len(memo) < _ORDER_CACHE_LIMIT:
-                memo[id(orders)] = (orders, code)
-            codes.append(code)
-        row_end = row_start + len(codes)
-        tile_factors[row_start:row_end, :d, :] = np.concatenate(tile_rows).reshape(
-            len(tile_rows), d, 4
-        )
-        code_arr = np.fromiter(codes, dtype=np.int64, count=len(codes))
-        if overflow_rows:
-            cached_mask = code_arr >= 0
-            group_nest = np.empty((len(codes), width), dtype=np.int64)
-            if cached_mask.any():
-                group_nest[cached_mask] = tab.order_matrix(max_dims)[
-                    code_arr[cached_mask]
-                ]
-            group_nest[~cached_mask] = np.asarray(
-                [overflow_rows[-1 - c] for c in codes if c < 0], dtype=np.int64
-            )
-            nest_dims[row_start:row_end] = group_nest
-            overflow_rows.clear()
-        else:
-            nest_dims[row_start:row_end] = tab.order_matrix(max_dims)[code_arr]
-        row_start = row_end
+        d = tab.n_dims
+        factor_end = factor_start + len(group) * d
+        tile_factors[row_start:row_end, :d, :] = factor_rows[
+            factor_start:factor_end
+        ].reshape(len(group), d, 4)
+        nest_dims[row_start:row_end] = tab.orders(max_dims).gather(
+            chain.from_iterable([mapping.loop_orders for mapping in group_lanes])
+        ).reshape(len(group), width)
+        row_start, factor_start = row_end, factor_end
 
     if n:
         implied = tile_factors.prod(axis=2)  # (N, Dmax)

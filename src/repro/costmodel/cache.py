@@ -67,15 +67,44 @@ class CacheStats:
         return self.hits / self.queries if self.queries else 0.0
 
 
+class _ProblemKey(tuple):
+    """A canonical problem key: a plain tuple that hashes once.
+
+    Cache keys pair a problem key with a mapping, so every oracle-store
+    lookup hashes the key — a few dozen nested dataclass fields.  Equal to
+    (and hashing like) the plain tuple it wraps; ``repr`` is the tuple's.
+    """
+
+    def __new__(cls, fields: tuple) -> "_ProblemKey":
+        key = super().__new__(cls, fields)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: never ship the cached one.
+        return tuple, (tuple(self),)
+
+
+#: Canonical problem keys (see :func:`problem_key`), bounded.
+_PROBLEM_KEYS: Dict[Hashable, _ProblemKey] = {}
+_PROBLEM_KEY_LIMIT = 4096
+
+
 def problem_key(problem: Problem) -> Hashable:
     """Identity key covering every cost-relevant field of a problem.
 
     ``Problem`` itself is not hashable (``extra`` is a dict), so cache keys
     flatten it.  Everything that feeds the cost model must participate:
     two problems differing only in ``ops_per_point`` (or tensor
-    projections) have different costs and must not share entries.
+    projections) have different costs and must not share entries.  Equal
+    keys are returned as one shared :class:`_ProblemKey` (a tuple with its
+    hash cached), so the many cache entries of a problem share one key
+    object and looking them up does not re-hash the problem.
     """
-    return (
+    key = (
         problem.algorithm,
         problem.name,
         problem.dims,
@@ -83,6 +112,13 @@ def problem_key(problem: Problem) -> Hashable:
         problem.ops_per_point,
         tuple(sorted(problem.extra.items())),
     )
+    try:
+        shared = _PROBLEM_KEYS.get(key)
+        if shared is None and len(_PROBLEM_KEYS) < _PROBLEM_KEY_LIMIT:
+            shared = _PROBLEM_KEYS.setdefault(key, _ProblemKey(key))
+    except TypeError:  # unhashable ``extra`` values: no caching either way
+        return key
+    return key if shared is None else shared
 
 
 def problem_fingerprint(problem: Problem) -> str:

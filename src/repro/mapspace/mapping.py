@@ -4,15 +4,21 @@ A mapping is stored as aligned tuples (hashable, frozen) rather than dicts so
 mappings can be deduplicated in sets and used as cache keys by searchers.
 Factor order per dimension is ``(DRAM, L2, spatial, L1)``: the product over
 the four entries must equal the dimension bound, making tile extents exact.
+
+The *inner* tuples — ``dims``, ``tensors``, each factor row, each level's
+loop order and each bank row — are canonical shared objects: construction
+swaps every one for the first equal row ever built (:func:`shared_row`).
+A serving process keeps many thousands of mappings alive in its caches, and
+they draw their rows from a small set (factorizations of a few bounds,
+permutations of a few dim tuples), so sharing keeps the bytes per retained
+mapping down to its outer tuples.  Equality and hashing are unchanged:
+shared rows are equal to the rows they replace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Dict, Mapping as MappingType, Sequence, Tuple
-
-import numpy as np
 
 from repro.utils import prod
 
@@ -25,8 +31,35 @@ ALLOC_LEVELS: Tuple[str, ...] = ("L2", "L1")
 #: Index of each factor within a tiling tuple.
 FACTOR_SLOTS: Tuple[str, ...] = ("DRAM", "L2", "spatial", "L1")
 
+#: Canonical inner rows, keyed by themselves (see :func:`shared_row`).
+_SHARED_ROWS: Dict[tuple, tuple] = {}
 
-@dataclass(frozen=True)
+#: Bound on :data:`_SHARED_ROWS`; rows first seen past it stay unshared.
+SHARED_ROW_LIMIT = 1 << 15
+
+
+def shared_row(row: tuple, kind: type) -> tuple:
+    """The canonical instance of ``row``, a tuple of ``kind`` values.
+
+    Returns the first row equal to ``row`` that was registered, so equal
+    rows across mappings are one object.  Only rows whose elements are
+    exactly ``kind`` (``int`` or ``str``) are registered — a row of numpy
+    scalars never becomes canonical, but it does resolve to an equal plain
+    row already registered.  Anything that is not a tuple, and new rows
+    once :data:`SHARED_ROW_LIMIT` rows are registered, pass through as is.
+    Thread-safe: ``dict.setdefault`` keeps one winner on a race.
+    """
+    if type(row) is not tuple:
+        return row
+    shared = _SHARED_ROWS.get(row)
+    if shared is not None:
+        return shared
+    if len(_SHARED_ROWS) < SHARED_ROW_LIMIT and all(type(x) is kind for x in row):
+        return _SHARED_ROWS.setdefault(row, row)
+    return row
+
+
+@dataclass(frozen=True, slots=True)
 class Mapping:
     """A complete assignment to the accelerator's programmable attributes.
 
@@ -73,22 +106,28 @@ class Mapping:
                 raise ValueError(f"allocation at {level} must align with tensors")
             if any(b < 1 for b in banks):
                 raise ValueError(f"allocation at {level} must give every tensor a bank")
+        # Validated: swap the inner rows for their canonical instances (a
+        # dict hit inline, the full rules of ``shared_row`` on a miss).
+        # Unhashable rows (lists) raise TypeError and stay as given.
+        get = _SHARED_ROWS.get
+        setattr_ = object.__setattr__
+        try:
+            setattr_(self, "dims", get(self.dims) or shared_row(self.dims, str))
+            setattr_(self, "tensors",
+                     get(self.tensors) or shared_row(self.tensors, str))
+            setattr_(self, "tile_factors", tuple([
+                get(row) or shared_row(row, int) for row in self.tile_factors
+            ]))
+            setattr_(self, "loop_orders", tuple([
+                get(order) or shared_row(order, str) for order in self.loop_orders
+            ]))
+            setattr_(self, "allocation", tuple([
+                get(banks) or shared_row(banks, int) for banks in self.allocation
+            ]))
+        except TypeError:
+            pass
 
     # ---- tiling accessors -------------------------------------------------
-
-    @cached_property
-    def factor_array(self) -> np.ndarray:
-        """``(len(dims), 4)`` int64 array of ``tile_factors``, cached.
-
-        The vectorized cost kernels lower every batch lane's nested factor
-        tuples into one small array; caching that array on the value object
-        makes re-pricing a mapping (replay, cohort prewarm rounds) pay the
-        conversion once per mapping instead of once per batch compile.  The
-        array is frozen read-only so sharing it across batches is safe.
-        """
-        factors = np.asarray(self.tile_factors, dtype=np.int64)
-        factors.setflags(write=False)
-        return factors
 
     def dim_index(self, dim: str) -> int:
         try:
@@ -235,4 +274,11 @@ class Mapping:
         return "\n".join(lines)
 
 
-__all__ = ["ALLOC_LEVELS", "FACTOR_SLOTS", "Mapping", "ORDER_LEVELS"]
+__all__ = [
+    "ALLOC_LEVELS",
+    "FACTOR_SLOTS",
+    "Mapping",
+    "ORDER_LEVELS",
+    "SHARED_ROW_LIMIT",
+    "shared_row",
+]

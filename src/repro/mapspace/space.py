@@ -138,9 +138,7 @@ class MapSpace:
             factors = list(sample_factorization(self._bounds[dim], 4, rng))
             tile_factors.append(factors)
         self._cap_spatial(tile_factors)
-        orders = tuple(
-            tuple(rng.permutation(list(self.dims))) for _ in ORDER_LEVELS
-        )
+        orders = tuple(self.sample_order(rng) for _ in ORDER_LEVELS)
         mapping = Mapping(
             dims=self.dims,
             tile_factors=tuple(tuple(f) for f in tile_factors),
@@ -149,6 +147,16 @@ class MapSpace:
             allocation=self._sample_allocation(rng, tile_factors, proportional_alloc),
         )
         return mapping
+
+    def sample_order(self, rng: np.random.Generator) -> Tuple[str, ...]:
+        """A uniformly random loop order (permutation of ``dims``).
+
+        Permutes positions and indexes ``dims`` with them: the same draws,
+        and the same final generator state, as ``rng.permutation(list(dims))``
+        — but plain ``str`` elements rather than numpy string scalars.
+        """
+        dims = self.dims
+        return tuple([dims[i] for i in rng.permutation(len(dims)).tolist()])
 
     def _cap_spatial(self, tile_factors: List[List[int]]) -> None:
         """Demote spatial factors to L2-temporal until they fit the PE array."""

@@ -25,6 +25,10 @@ serving endpoint:
 Backpressure maps onto HTTP: :class:`ServerOverloaded` becomes ``429 Too
 Many Requests`` with a ``Retry-After`` header, drain becomes ``503``,
 malformed payloads become ``400`` with the validation error spelled out.
+
+Wire contract: every reply leaves in **one** write (status line, headers
+and body together) on a connection with ``TCP_NODELAY`` set, so no reply
+waits on Nagle's algorithm for the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ class GatewayHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted connection (set in
+    #: ``StreamRequestHandler.setup``): a reply is one write, and nothing
+    #: should hold it back waiting for an ACK.
+    disable_nagle_algorithm = True
 
     @property
     def gateway(self) -> "Gateway":
@@ -256,24 +264,35 @@ class GatewayHandler(BaseHTTPRequestHandler):
         return payload, None
 
     def _reply(self, status: int, payload: dict, headers: Tuple = ()) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json", json.dumps(payload).encode("utf-8"),
+                   headers)
 
     def _reply_text(
         self, status: int, text: str, content_type: str = prom.CONTENT_TYPE
     ) -> None:
-        body = text.encode("utf-8")
+        self._send(status, content_type, text.encode("utf-8"))
+
+    def _send(
+        self, status: int, content_type: str, body: bytes, headers: Tuple = ()
+    ) -> None:
+        """Status line, headers and body as **one** socket write.
+
+        ``end_headers()`` would flush the head as its own small segment and
+        leave the body to a second write; with the head unacknowledged the
+        body then waits out the client's delayed ACK (~40 ms per reply).
+        Appending the blank line and the body to the header buffer sends
+        the whole reply in a single ``wfile.write``.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        for name, value in headers:
+            self.send_header(name, value)
+        if self.request_version == "HTTP/0.9":  # no status line or headers
+            self.wfile.write(body)
+            return
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
 
 class Gateway(ThreadingHTTPServer):

@@ -1,16 +1,23 @@
-"""HTTP gateway: smoke (the CI fast-lane serving check), errors, backpressure."""
+"""HTTP gateway: smoke (the CI fast-lane serving check), errors,
+backpressure, and the wire contract (one write per reply, TCP_NODELAY)."""
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import EngineConfig, MappingEngine, MappingRequest, MappingResponse
+from repro.obs import prom
 from repro.serve import MappingServer, ServeConfig, request_to_dict, start_gateway
+from repro.serve.http import GatewayHandler
+from repro.serve.server import ServerClosed, ServerOverloaded
 from repro.workloads import make_conv1d
 
 PROBLEM = make_conv1d("http_target", w=32, r=5)
@@ -261,3 +268,168 @@ class TestErrors:
             background.join(timeout=30)
             gateway.shutdown()
             server.shutdown(timeout=30.0)
+
+
+# ----------------------------------------------------------------------
+# Wire contract: TCP_NODELAY, one write per reply, no delayed-ACK stall
+# ----------------------------------------------------------------------
+
+
+class _InstantResponse:
+    def __init__(self, tag):
+        self.tag = tag
+
+    def to_dict(self, include_trace=False):
+        return {"tag": self.tag, "include_trace": include_trace}
+
+
+class _InstantServer:
+    """Duck-typed server answering at once (or raising ``error``), so the
+    gateway's own wire behaviour is all a request measures."""
+
+    queue_depth = 0
+    accepting = True
+
+    def __init__(self, error=None):
+        self.error = error
+
+    def submit(self, request, priority=None):
+        if self.error is not None:
+            raise self.error
+        future = Future()
+        future.set_result(_InstantResponse(request.tag))
+        return future
+
+    def metrics_snapshot(self):
+        return {"counters": {"served": 1}}
+
+
+@pytest.fixture()
+def wire(monkeypatch):
+    """Start gateways over stub servers, recording every accepted
+    connection's ``TCP_NODELAY`` and every ``wfile.write`` it makes."""
+    record = {"nodelay": [], "writes": []}
+    original_setup = GatewayHandler.setup
+
+    def recording_setup(handler):
+        original_setup(handler)
+        record["nodelay"].append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        real_write = handler.wfile.write
+
+        def write(data):
+            record["writes"].append(bytes(data))
+            return real_write(data)
+
+        handler.wfile.write = write
+
+    monkeypatch.setattr(GatewayHandler, "setup", recording_setup)
+    gateways = []
+
+    def start(server):
+        gateway = start_gateway(server)
+        gateways.append(gateway)
+        return gateway
+
+    yield start, record
+    for gateway in gateways:
+        gateway.shutdown()
+        gateway.server_close()
+
+
+def _parse_reply(raw):
+    """``(status, headers, body)`` of one complete HTTP/1.1 response;
+    asserts the bytes hold exactly the head plus a Content-Length body."""
+    head, sep, body = raw.partition(b"\r\n\r\n")
+    assert sep, f"no end of headers in {raw[:80]!r}"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    version, status, _reason = status_line.split(" ", 2)
+    assert version == "HTTP/1.1"
+    headers = {}
+    for line in header_lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    assert int(headers["content-length"]) == len(body)
+    return int(status), headers, body
+
+
+def _exchange(gateway, method, path, body=None):
+    host, port = gateway.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.request(method, path, body=body,
+                           headers={"Content-Type": "application/json"})
+        reply = connection.getresponse()
+        return reply.status, reply.read()
+    finally:
+        connection.close()
+
+
+def _map_body(seed=0):
+    request = MappingRequest(PROBLEM, searcher="random", iterations=5, seed=seed,
+                             tag=f"wire{seed}")
+    return json.dumps({"request": request_to_dict(request)})
+
+
+class TestWireContract:
+    def test_accepted_socket_has_nodelay(self, wire):
+        start, record = wire
+        gateway = start(_InstantServer())
+        assert _exchange(gateway, "GET", "/v1/healthz")[0] == 200
+        assert record["nodelay"] and all(record["nodelay"])
+
+    @pytest.mark.parametrize(
+        "error, method, path, body, status, content_type",
+        [
+            (None, "POST", "/v1/map", _map_body(), 200, "application/json"),
+            (None, "GET", "/v1/healthz", None, 200, "application/json"),
+            (None, "POST", "/v1/map", "{not json", 400, "application/json"),
+            (None, "GET", "/v1/nope", None, 404, "application/json"),
+            (ServerOverloaded(retry_after_s=2.4, depth=9), "POST", "/v1/map",
+             _map_body(), 429, "application/json"),
+            (ServerClosed("draining"), "POST", "/v1/map", _map_body(), 503,
+             "application/json"),
+            (None, "GET", "/v1/metrics?format=prom", None, 200, prom.CONTENT_TYPE),
+        ],
+        ids=["json-200", "healthz-200", "400", "404", "429", "503", "prom-text"],
+    )
+    def test_every_reply_is_one_complete_write(
+        self, wire, error, method, path, body, status, content_type
+    ):
+        start, record = wire
+        gateway = start(_InstantServer(error))
+        got_status, got_body = _exchange(gateway, method, path, body)
+        assert got_status == status
+        assert len(record["writes"]) == 1, record["writes"]
+        parsed_status, headers, parsed_body = _parse_reply(record["writes"][0])
+        assert parsed_status == status
+        assert headers["content-type"] == content_type
+        assert parsed_body == got_body
+        if status == 429:
+            assert headers["retry-after"] == "2"
+        if content_type == "application/json":
+            json.loads(parsed_body)
+
+    def test_keep_alive_posts_do_not_stall(self, wire):
+        """50 POSTs on one persistent connection to an instant server.
+        A reply split into head and body writes waits ~40 ms for the
+        client's delayed ACK, so the stall alone would take ~2 s."""
+        start, record = wire
+        gateway = start(_InstantServer())
+        host, port = gateway.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        body = _map_body()
+        try:
+            started = time.perf_counter()
+            for _ in range(50):
+                connection.request("POST", "/v1/map", body=body,
+                                   headers={"Content-Type": "application/json"})
+                reply = connection.getresponse()
+                assert reply.status == 200
+                reply.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert len(record["nodelay"]) == 1  # one connection carried all 50
+        assert elapsed < 1.0, f"50 keep-alive POSTs took {elapsed:.2f}s"
